@@ -184,8 +184,7 @@ def cmd_run(args) -> int:
     results = []
     for engine in engines:
         res = ENGINES[engine].run(program, f, **_engine_opts(engine, args))
-        res.baseline_time = direct.time
-        res.slowdown = res.time / direct.time if direct.time > 0 else None
+        res.attach_baseline(direct.time)
         results.append(res)
 
     if args.json:
@@ -844,8 +843,7 @@ def cmd_dag(args) -> int:
     results = []
     for engine in engines:
         res = ENGINES[engine].run(program, f, **_engine_opts(engine, args))
-        res.baseline_time = direct.time
-        res.slowdown = res.time / direct.time if direct.time > 0 else None
+        res.attach_baseline(direct.time)
         results.append(res)
     expected = reference_values(spec)
     computed: dict[str, int] = {}

@@ -19,7 +19,8 @@ from repro.dbsp.cluster import (
 )
 from repro.dbsp.program import (Message, ProcView, Program, Superstep,
                                 concat_programs)
-from repro.dbsp.machine import DBSPMachine, DBSPRunResult, superstep_cost
+from repro.dbsp.machine import (DBSPMachine, DBSPRunResult, slowdown_ratio,
+                                superstep_cost)
 
 __all__ = [
     "ClusterTree",
@@ -34,5 +35,6 @@ __all__ = [
     "concat_programs",
     "DBSPMachine",
     "DBSPRunResult",
+    "slowdown_ratio",
     "superstep_cost",
 ]

@@ -22,7 +22,13 @@ from repro.dbsp.cluster import cluster_size
 from repro.dbsp.program import Message, ProcView, Program
 from repro.functions import AccessFunction
 
-__all__ = ["DBSPMachine", "DBSPRunResult", "SuperstepRecord", "superstep_cost"]
+__all__ = [
+    "DBSPMachine",
+    "DBSPRunResult",
+    "SuperstepRecord",
+    "slowdown_ratio",
+    "superstep_cost",
+]
 
 
 def superstep_cost(
@@ -30,6 +36,18 @@ def superstep_cost(
 ) -> float:
     """Cost of one i-superstep: ``tau + h * g(mu * v / 2^i)``."""
     return tau + h * g(mu * cluster_size(v, label))
+
+
+def slowdown_ratio(host_time: float, guest_time: float) -> float | None:
+    """Measured slowdown ``host_time / guest_time`` of a simulation.
+
+    ``None`` when the guest time is zero: there is no meaningful ratio,
+    and a fabricated ``0.0`` would read as an infinitely fast host.
+
+    >>> slowdown_ratio(12.0, 4.0), slowdown_ratio(12.0, 0.0)
+    (3.0, None)
+    """
+    return host_time / guest_time if guest_time > 0 else None
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from repro.algorithms.primitives import (
     reduce_program,
 )
 from repro.algorithms.sorting import bitonic_sort_program
-from repro.dbsp.machine import DBSPMachine, DBSPRunResult
+from repro.dbsp.machine import DBSPMachine, DBSPRunResult, slowdown_ratio
 from repro.dbsp.program import Program
 from repro.functions import (
     AccessFunction,
@@ -198,6 +198,21 @@ class EngineResult:
     # The pre-unification aliases (``total_time``, ``block_transfers``,
     # ``rounds``) were deprecated through the v0 line and are gone as of
     # the /v1 API redesign: use ``time`` and ``counters[...]``.
+
+    def attach_baseline(self, guest_time: float) -> None:
+        """Record the guest D-BSP time and the slowdown measured against it.
+
+        The one slowdown rule (:func:`~repro.dbsp.machine.slowdown_ratio`):
+        ``None`` rather than a fabricated ratio when the guest time is
+        zero.
+
+        >>> res = EngineResult("hmm", time=12.0, contexts=[])
+        >>> res.attach_baseline(4.0)
+        >>> res.baseline_time, res.slowdown
+        (4.0, 3.0)
+        """
+        self.baseline_time = guest_time
+        self.slowdown = slowdown_ratio(self.time, guest_time)
 
     def to_json(self, include_trace: bool = True) -> dict[str, Any]:
         """JSON-serializable document (contexts and ``native`` omitted)."""
@@ -495,8 +510,11 @@ def run(
         Observability level: ``off`` | ``counters`` | ``phases``
         (default) | ``full``.
     baseline:
-        For simulation engines, also run the direct D-BSP execution and
-        attach ``baseline_time`` and the measured ``slowdown``.
+        For simulation engines, also attach the guest D-BSP time as
+        ``baseline_time`` and the measured ``slowdown``.  On ``vec`` the
+        kernel derives the guest time from its own pass (equal to the
+        direct run's); the other engines, and ``vec`` runs the kernel
+        did not execute whole, run the direct D-BSP execution for it.
     opts:
         Passed through to the engine (e.g. ``sort="mergesort"`` for
         ``bt``, ``v_host=16`` for ``brent``, ``parallel=4`` for worker
@@ -518,9 +536,10 @@ def run(
         program = build_program(program, v, mu)
     result = ENGINES[engine].run(program, f, trace=trace, **opts)
     if baseline and engine != "direct":
-        guest = DBSPMachine(f).run(program.with_global_sync())
-        result.baseline_time = guest.total_time
-        result.slowdown = (
-            result.time / guest.total_time if guest.total_time > 0 else None
-        )
+        # ``hmm`` stays the reference: its baseline is always the direct
+        # run, even when REPRO_ENGINE=vec swaps its kernel
+        guest = result.native.guest_time if engine == "vec" else None
+        if guest is None:
+            guest = DBSPMachine(f).run(program.with_global_sync()).total_time
+        result.attach_baseline(guest)
     return result

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Literal
 
 from repro.dbsp.cluster import cluster_size, log2_exact
+from repro.dbsp.machine import slowdown_ratio
 from repro.dbsp.program import Message, ProcView, Program, Superstep
 from repro.functions import AccessFunction, CostTable
 from repro.obs.counters import NULL_COUNTERS, Counters
@@ -78,7 +79,7 @@ class BrentSimResult:
 
     def slowdown(self, guest_time: float) -> float | None:
         """``None`` when the guest time is zero (no meaningful ratio)."""
-        return self.time / guest_time if guest_time > 0 else None
+        return slowdown_ratio(self.time, guest_time)
 
 
 class _GlobalizedView:

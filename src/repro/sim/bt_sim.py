@@ -38,6 +38,7 @@ from typing import Literal
 from repro.bt.machine import BTMachine
 from repro.bt.sorting import bt_merge_sort
 from repro.dbsp.cluster import cluster_of, cluster_size
+from repro.dbsp.machine import slowdown_ratio
 from repro.dbsp.program import Message, ProcView, Program
 from repro.functions import AccessFunction
 from repro.obs.counters import NULL_COUNTERS, Counters
@@ -88,7 +89,7 @@ class BTSimResult:
 
     def slowdown(self, dbsp_time: float) -> float | None:
         """``None`` when the guest time is zero (no meaningful ratio)."""
-        return self.time / dbsp_time if dbsp_time > 0 else None
+        return slowdown_ratio(self.time, dbsp_time)
 
 
 class BTSimulator:

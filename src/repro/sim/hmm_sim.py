@@ -31,9 +31,11 @@ import os
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Literal
+from functools import cached_property
+from typing import Callable, Literal
 
 from repro.dbsp.cluster import cluster_of, cluster_size
+from repro.dbsp.machine import slowdown_ratio
 from repro.dbsp.program import Message, ProcView, Program, Superstep
 from repro.functions import AccessFunction
 from repro.hmm.machine import HMMMachine
@@ -153,14 +155,36 @@ class HMMSimResult:
     counters: dict[str, int | float] = field(default_factory=dict)
     #: recorded spans (``trace="full"`` only)
     spans: list[SpanRecord] = field(default_factory=list)
+    #: deferred guest pricing left by the ``vec`` kernel (see
+    #: :attr:`guest_time`); ``None`` on every other path
+    _price_guest: Callable[[], float | None] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def guest_time(self) -> float | None:
+        """Guest D-BSP time of the program, from the simulation's own pass.
+
+        ``==`` the direct machine's ``total_time`` on
+        ``program.with_global_sync()``: the ``vec`` kernel prices each
+        original superstep from the local times and message arrays its
+        pass already holds (computed on first access).  ``None`` when
+        the kernel did not run the whole program from its own initial
+        state (scalar kernel, parallel bursts, ``record_trace``, full
+        invariant checks, Brent fine runs) or when the direct machine
+        would reject the program; callers then run
+        :class:`~repro.dbsp.machine.DBSPMachine`, the ground truth.
+        """
+        return None if self._price_guest is None else self._price_guest()
 
     def slowdown(self, dbsp_time: float) -> float | None:
         """Measured slowdown w.r.t. the guest D-BSP running time.
 
         ``None`` when the guest time is zero (no meaningful ratio) — the
-        same convention as :class:`repro.engines.EngineResult.slowdown`.
+        same rule (:func:`repro.dbsp.machine.slowdown_ratio`) as
+        :class:`repro.engines.EngineResult.slowdown`.
         """
-        return self.time / dbsp_time if dbsp_time > 0 else None
+        return slowdown_ratio(self.time, dbsp_time)
 
 
 class HMMSimulator:
@@ -261,6 +285,11 @@ class HMMSimulator:
             )
         smoothed = smooth_program(program, label_set)
         run = _HMMSimRun(self, smoothed, initial_contexts, initial_pending)
+        if initial_contexts is None and initial_pending is None:
+            # the run replays the direct execution of the program, so a
+            # full vec pass can price it as the guest (needs the labels
+            # before smoothing upgraded them)
+            run.guest_labels = program.with_global_sync().labels()
         cfg = self.parallel
         if (
             cfg.enabled
@@ -282,7 +311,7 @@ class HMMSimulator:
                 breakdown.update(run.tracer.phase_totals())
             run.counters.add("rounds", run.round_index)
             counters = run.counters.snapshot()
-        return HMMSimResult(
+        result = HMMSimResult(
             contexts=run.contexts,
             time=run.machine.time,
             rounds=run.round_index,
@@ -294,6 +323,8 @@ class HMMSimulator:
             counters=counters,
             spans=run.tracer.spans,
         )
+        result._price_guest = run.price_guest
+        return result
 
 
 class _HMMSimRun:
@@ -368,6 +399,11 @@ class _HMMSimRun:
         #: charge tape (:class:`FlatTape` / :class:`SpanTape`), set by
         #: worker processes only; ``None`` on the serial/parent path
         self.tape_rec: "FlatTape | SpanTape | None" = None
+        #: original (pre-smoothing) labels of the normalized program, set
+        #: when the run starts from the program's own initial state; the
+        #: vec kernel then leaves ``price_guest`` (see HMMSimResult)
+        self.guest_labels: list[int] | None = None
+        self.price_guest = None
 
     # ------------------------------------------------------------- helpers
     def _word(self, slot: int, offset: int = 0) -> int:

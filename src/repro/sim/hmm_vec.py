@@ -17,11 +17,23 @@ uses, which reproduces the serial ``t += c`` sequence bit-for-bit,
 including every intermediate clock value.
 
 Observability is preserved exactly: counters replicate the scalar
-``add`` calls (amounts *and* key-creation), and in ``phases``/``full``
-trace modes a post-pass walks the plan against the folded clock and
-drives the real :class:`~repro.obs.trace.Tracer` through the identical
-open/leaf/close sequence the scalar engine performs — same breakdowns,
-same span records, same ±ulp self-cost attribution.
+``add`` calls (amounts *and* key-creation).  In ``phases`` mode the
+per-category span totals are segmented reductions over the folded clock:
+every leaf span's cost is a difference of two clock values, and each
+category total, round child cost and span self cost is accumulated with
+``np.bincount`` in the serial replay order, so the sums (and the ±ulp
+self-cost attribution to ``other``) are bit-identical to the scalar
+tracer's.  ``full`` mode, which needs a :class:`~repro.obs.trace.SpanRecord`
+per span, walks the plan against the folded clock and drives the real
+:class:`~repro.obs.trace.Tracer` through the scalar open/leaf/close
+sequence.
+
+The same pass also prices the program as the guest: each original
+superstep's ``tau`` (max local time) and ``h`` (max messages sent or
+received) are read off the arrays the bodies filled, giving the direct
+D-BSP time without executing the program a second time.  The pricing
+is deferred until a caller asks for it, so runs without a baseline
+never pay for it.
 
 Two body-execution modes share all of the above:
 
@@ -39,11 +51,14 @@ Two body-execution modes share all of the above:
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 
+from repro.dbsp.machine import superstep_cost
 from repro.dbsp.program import Message
 from repro.obs.counters import NULL_COUNTERS
+from repro.obs.trace import OTHER
 from repro.sim.kernel import ArrayView, interleave2, ranges_concat
 
 __all__ = ["ChargePlan", "execute_vec", "plan_cache_info"]
@@ -75,6 +90,7 @@ class ChargePlan:
         "wc",
         "cycle_words", "n_normal_rounds", "n_dummy_rounds",
         "total_context_swaps", "total_swap_words",
+        "phase_layout",
     )
 
 
@@ -222,6 +238,7 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
     plan.total_context_swaps = total_context_swaps
     plan.total_swap_words = total_swap_words
     plan.b_starts_cache = {}
+    plan.phase_layout = None
 
     # positions of the local-time holes inside A_all, and the
     # (step * v + pid) source index each hole reads from local_flat
@@ -513,6 +530,167 @@ def _add_counters(run, plan, b_len) -> None:
         counters.add("dummy_supersteps", plan.n_dummy_rounds)
 
 
+# bins of the phase reduction: the five HMM phases, the round spans'
+# ``other`` self cost, and a sink for swap leaves (summed via _SWAPS)
+_LOCAL, _CYCLING, _DELIVERY, _DUMMIES, _SWAPS, _OTHER, _SWAP_LEAF = range(7)
+_BIN_KEYS = ("local", "cycling", "delivery", "dummies", "swaps", OTHER)
+
+
+class _PhaseLayout:
+    """The span tree of a plan's ``phases`` trace, as flat arrays.
+
+    Every round is a root span whose children are leaf spans that tile
+    its slice of the operand stream: ``local`` / ``cycle-context`` in
+    alternation (or one ``dummy``), one ``delivery`` (possibly empty),
+    then the ``swap`` leaves, which sit inside a ``cycle-swaps`` span.
+    Only the delivery lengths depend on the bodies; everything here is
+    fixed by the plan and built once, on the first ``phases`` run.
+    """
+
+    __slots__ = (
+        "leaf_len", "deliv_leaf", "normal_round", "child_round",
+        "sw_leaf", "sw_group", "sr_round", "sr_first", "sr_end",
+        "sw_seq", "sr_seq", "bins", "counts",
+    )
+
+
+def _phase_layout(plan) -> _PhaseLayout:
+    lay = plan.phase_layout
+    if lay is not None:
+        return lay
+    R = plan.R
+    dummy = plan.dummy
+    normal = ~dummy
+    c_len = plan.c_len
+    n_a = np.where(dummy, 1, 2 * plan.csize - 1)
+    n_leaf = n_a + normal + c_len
+    rnd = np.repeat(np.arange(R, dtype=np.int64), n_leaf)
+    pos = np.arange(len(rnd), dtype=np.int64) - np.repeat(
+        np.cumsum(n_leaf) - n_leaf, n_leaf
+    )
+    pos_a = pos < n_a[rnd]
+    deliv = normal[rnd] & (pos == n_a[rnd])
+    cat = np.full(len(rnd), _SWAP_LEAF, dtype=np.int64)
+    # A region: local at even positions, cycle-context at odd ones
+    cat[pos_a] = np.where(dummy[rnd[pos_a]], _DUMMIES, pos[pos_a] & 1)
+    cat[deliv] = _DELIVERY
+    swap = cat == _SWAP_LEAF
+
+    # the per-leaf arrays stay resident with the plan: narrow dtypes
+    lay = _PhaseLayout()
+    lay.leaf_len = np.where(cat == _CYCLING, 4, 1).astype(np.int8)
+    lay.leaf_len[deliv] = 0  # filled per run from the delivery counts
+    lay.deliv_leaf = np.flatnonzero(deliv)
+    lay.normal_round = np.flatnonzero(normal)
+    # swap leaves are children of their cycle-swaps span, not the round
+    lay.child_round = np.where(swap, R, rnd).astype(np.int32)
+    lay.sw_leaf = np.flatnonzero(swap)
+    lay.sr_round = np.flatnonzero(c_len)
+    per = c_len[lay.sr_round]
+    lay.sw_group = np.repeat(np.arange(len(per), dtype=np.int64), per)
+    grp = np.cumsum(per) - per
+    lay.sr_first = lay.sw_leaf[grp]
+    lay.sr_end = lay.sw_leaf[grp + per - 1] + 1
+    # the swaps total takes each round's swap leaves, then its span's
+    # self cost: positions of both in that order
+    seq = np.cumsum(per + 1) - (per + 1)
+    lay.sr_seq = seq + per
+    lay.sw_seq = np.repeat(seq - grp, per) + np.arange(
+        len(lay.sw_leaf), dtype=np.int64
+    )
+    lay.bins = np.concatenate((
+        cat,
+        np.full(len(lay.sw_leaf) + len(per), _SWAPS),
+        np.full(R, _OTHER),
+    )).astype(np.int8)
+    lay.counts = np.bincount(lay.bins, minlength=7)[:6].tolist()
+    plan.phase_layout = lay
+    return lay
+
+
+def _attribute_phases(run, plan, buf, off, b_len) -> None:
+    """Fill the tracer's per-category totals and counts from the clock.
+
+    Bit-identical to replaying every span through the tracer: a leaf's
+    cost is ``clk[end] - clk[start]`` either way, and ``np.bincount``
+    adds each bin's weights one after another in input order, starting
+    from ``0.0`` — the tracer's ``totals[cat] += cost`` sequence.  So the
+    inputs are laid out in replay order per bin, and the pairwise
+    ``np.sum`` is never used.
+    """
+    lay = _phase_layout(plan)
+    lens = lay.leaf_len.astype(np.int64)
+    lens[lay.deliv_leaf] = b_len[lay.normal_round]
+    bnd = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=bnd[1:])
+    leaf_clk = buf[bnd]
+    cost = leaf_clk[1:] - leaf_clk[:-1]
+
+    sw_cost = cost[lay.sw_leaf]
+    span = buf[bnd[lay.sr_end]] - buf[bnd[lay.sr_first]]
+    span_self = span - np.bincount(
+        lay.sw_group, weights=sw_cost, minlength=len(span)
+    )
+    swaps = np.empty(len(sw_cost) + len(span), dtype=np.float64)
+    swaps[lay.sw_seq] = sw_cost
+    swaps[lay.sr_seq] = span_self
+
+    # a round's children: its leaves in order, then its cycle-swaps span
+    child = np.bincount(lay.child_round, weights=cost, minlength=plan.R + 1)
+    child = child[: plan.R]
+    child[lay.sr_round] += span
+    round_clk = buf[off]
+    round_self = (round_clk[1:] - round_clk[:-1]) - child
+
+    totals = np.bincount(
+        lay.bins,
+        weights=np.concatenate((cost, swaps, round_self)),
+        minlength=7,
+    ).tolist()
+    tracer = run.tracer
+    for key, total, count in zip(_BIN_KEYS, totals, lay.counts):
+        if count:
+            tracer.totals[key] = total
+            tracer.counts[key] = count
+
+
+def _guest_time(
+    smoothed, labels, g, local_flat, step_src, step_dest
+) -> float | None:
+    """The direct D-BSP time of the program, from one pass's arrays.
+
+    Sums :func:`~repro.dbsp.machine.superstep_cost` over the original
+    supersteps in order (inserted dummies skipped, original labels, each
+    original dummy at ``tau = 1``, ``h = 0``) — the direct machine's
+    ``total`` fold.  ``None`` when a step breaks a rule the direct
+    machine enforces (more than ``mu`` messages into one processor, or a
+    message leaving the original label's cluster), so the caller runs
+    the direct machine and reports its error.
+    """
+    program = smoothed.program
+    v = program.v
+    mu = program.mu
+    steps = program.supersteps
+    total = 0.0
+    for s, o in enumerate(smoothed.origin):
+        if o is None:
+            continue
+        label = labels[o]
+        tau = 1.0
+        h = 0
+        if steps[s].body is not None:
+            tau = max(tau, float(local_flat[s * v : (s + 1) * v].max()))
+            src = step_src[s]
+            if src is not None:
+                dest = step_dest[s]
+                recv = int(np.bincount(dest).max())
+                if recv > mu or np.any((src ^ dest) >= (v >> label)):
+                    return None
+                h = max(int(np.bincount(src).max()), recv)
+        total += superstep_cost(g, mu, v, label, tau, h)
+    return total
+
+
 def _walk_tracer(run, plan, clk, off, b_len) -> None:
     """Drive the real tracer through the scalar call sequence.
 
@@ -598,6 +776,12 @@ def execute_vec(run) -> None:
     else:
         _run_bodies_scalar(run, local_flat, step_src, step_dest)
 
+    if run.guest_labels is not None:
+        run.price_guest = partial(
+            _guest_time, run.smoothed, run.guest_labels, run.sim.f,
+            local_flat, step_src, step_dest,
+        )
+
     buf, off, b_len = _assemble_stream(plan, local_flat, step_src, step_dest)
     if run.tape_rec is not None:
         run.tape_rec.charges.frombytes(buf[1:].tobytes())
@@ -606,7 +790,9 @@ def execute_vec(run) -> None:
     machine = run.machine
     buf[0] = machine.time
     np.cumsum(buf, out=buf)
-    if run.tracer.enabled:
+    if run.tracer.record:
         _walk_tracer(run, plan, buf.tolist(), off, b_len)
+    elif run.tracer.enabled:
+        _attribute_phases(run, plan, buf, off, b_len)
     machine.time = float(buf[-1])
     run.round_index = plan.R

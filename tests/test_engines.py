@@ -106,11 +106,12 @@ class TestRun:
         res = run(program, engine=engine, baseline=False)
         assert res.contexts == direct.contexts
 
-    def test_slowdown_against_direct(self):
-        res = run("broadcast", engine="hmm", f="x^0.5", v=8)
-        assert res.baseline_time is not None and res.baseline_time > 0
-        assert res.slowdown == pytest.approx(res.time / res.baseline_time)
+    @pytest.mark.parametrize("engine", ["hmm", "vec"])
+    def test_slowdown_against_direct(self, engine):
+        res = run("broadcast", engine=engine, f="x^0.5", v=8)
         direct = run("broadcast", engine="direct", f="x^0.5", v=8)
+        assert res.baseline_time == direct.time > 0
+        assert res.slowdown == res.time / res.baseline_time
         assert direct.slowdown == 1.0
 
     def test_baseline_false_skips_direct_run(self):

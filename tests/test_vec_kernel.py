@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import insort
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,14 +21,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbsp.machine import DBSPMachine
-from repro.dbsp.program import Message
-from repro.engines import ENGINES, build_program, run
+from repro.dbsp.program import Message, Program, Superstep
+from repro.engines import (
+    ENGINES,
+    PROGRAMS,
+    build_program,
+    resolve_access_function,
+    run,
+)
 from repro.functions import (
     AccessFunction,
     LogarithmicAccess,
     PolynomialAccess,
     VectorizationWarning,
 )
+from repro.obs.trace import Tracer
+from repro.sim import hmm_vec
 from repro.sim.brent import BrentSimulator
 from repro.sim.hmm_sim import HMMSimulator
 from repro.sim.hmm_vec import plan_cache_info
@@ -187,6 +196,243 @@ class TestPlanCache:
                 HMMSimulator(F, kernel="vec").simulate(prog)
         info = plan_cache_info()
         assert info["size"] <= info["max"]
+
+
+# ------------------------------------------- phase attribution, guest time
+GRID_FUNCTIONS = ["x^0.5", "x^0.3", "log", "linear", "staircase", "const"]
+#: per-processor programs too slow for the v=1024 leg of the grid
+SLOW_AT_1024 = {"matmul", "conv"}
+
+
+def _grid():
+    for name in PROGRAMS:
+        for v in (8, 64, 1024):
+            if v == 1024 and name in SLOW_AT_1024:
+                continue
+            yield name, v
+
+
+def spy_on_attribution(monkeypatch) -> list:
+    """Capture each ``phases`` run's array-built tracer totals and counts
+    next to a ``_walk_tracer`` replay of the same folded clock (onto a
+    fresh tracer, so the run itself is untouched), plus the plan."""
+    seen = []
+    real = hmm_vec._attribute_phases
+
+    def spy(run, plan, buf, off, b_len):
+        real(run, plan, buf, off, b_len)
+        machine = SimpleNamespace(time=0.0)
+        shadow = SimpleNamespace(
+            tracer=Tracer(clock=lambda: machine.time),
+            machine=machine,
+            steps=run.steps,
+        )
+        hmm_vec._walk_tracer(shadow, plan, buf.tolist(), off, b_len)
+        shadow.tracer.assert_closed()
+        seen.append(SimpleNamespace(
+            totals=dict(run.tracer.totals),
+            counts=dict(run.tracer.counts),
+            walk_totals=shadow.tracer.totals,
+            walk_counts=shadow.tracer.counts,
+            plan=plan,
+        ))
+
+    monkeypatch.setattr(hmm_vec, "_attribute_phases", spy)
+    return seen
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    return spy_on_attribution(monkeypatch)
+
+
+def assert_replay_identical(seen):
+    assert seen, "the array attribution did not run"
+    for rec in seen:
+        assert rec.totals == rec.walk_totals
+        assert rec.counts == rec.walk_counts
+
+
+def direct_time(prog, f):
+    return DBSPMachine(f).run(prog.with_global_sync()).total_time
+
+
+class TestPhaseAttribution:
+    """``phases`` totals are a segmented reduction over the folded clock,
+    ``==`` to replaying every span through the tracer."""
+
+    @pytest.mark.parametrize("name,v", list(_grid()))
+    def test_grid_matches_replay_and_direct(self, name, v, replayed):
+        try:
+            prog = build_program(name, v)
+        except ValueError:
+            pytest.skip(f"{name} cannot be built at v={v}")
+        for spec in GRID_FUNCTIONS:
+            f = resolve_access_function(spec)
+            res = HMMSimulator(f, kernel="vec", parallel=1).simulate(prog)
+            assert res.guest_time == direct_time(prog, f), spec
+        assert len(replayed) == len(GRID_FUNCTIONS)
+        assert_replay_identical(replayed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        log_v=st.integers(0, 5),
+        n_steps=st.integers(1, 6),
+    )
+    def test_random_programs_match_replay_and_direct(
+        self, seed, log_v, n_steps
+    ):
+        prog = random_program(1 << log_v, n_steps=n_steps, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = spy_on_attribution(mp)
+            res = HMMSimulator(F, kernel="vec", parallel=1).simulate(prog)
+        assert_replay_identical(seen)
+        assert res.guest_time == direct_time(prog, F)
+
+    @pytest.mark.parametrize("name", ["fft-dag", "random"])
+    def test_covers_swap_counts_and_dummy_rounds(self, name, replayed):
+        """One array-body and one per-processor program whose schedules
+        have rounds with 0, 1 and 2 swaps and smoothing dummies."""
+        prog = build_program(name, 64)
+        HMMSimulator(
+            resolve_access_function("x^0.3"), kernel="vec", parallel=1
+        ).simulate(prog)
+        (rec,) = replayed
+        assert set(rec.plan.c_len.tolist()) == {0, 1, 2}
+        assert rec.plan.n_dummy_rounds > 0
+        assert_replay_identical(replayed)
+
+    @pytest.mark.parametrize("steps", [
+        [],
+        [Superstep(2, None), Superstep(1, None), Superstep(0, None)],
+    ], ids=["empty", "dummies-only"])
+    def test_dummy_only_programs(self, steps, replayed):
+        prog = Program(8, 4, steps, name="dummies")
+        s, v = scalar_vs_vec(prog, trace="phases", parallel=1)
+        assert_identical(s, v)
+        assert_replay_identical(replayed)
+        assert v.guest_time == direct_time(prog, F)
+
+    @pytest.mark.parametrize("name", ["sort", "fft-rec", "random", "conv"])
+    def test_full_trace_unchanged(self, name):
+        """``full`` still replays the tracer: spans and breakdowns equal
+        the scalar engine's, and the ``phases`` breakdown equals both."""
+        prog = build_program(name, 64)
+        s, v = scalar_vs_vec(prog, trace="full")
+        assert_identical(s, v)
+        assert v.spans == s.spans and v.spans
+        phases = HMMSimulator(F, kernel="vec", trace="phases").simulate(prog)
+        assert phases.breakdown == v.breakdown
+
+    def test_only_full_reaches_the_replay(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_walk_tracer called outside trace='full'")
+
+        monkeypatch.setattr(hmm_vec, "_walk_tracer", refuse)
+        prog = build_program("sort", 64)
+        for trace in ("off", "counters", "phases"):
+            HMMSimulator(F, kernel="vec", trace=trace, parallel=1).simulate(
+                prog
+            )
+        with pytest.raises(AssertionError, match="outside trace='full'"):
+            HMMSimulator(F, kernel="vec", trace="full").simulate(prog)
+
+
+def _fan_in_program(v=8, mu=2):
+    """Label-0 step in which processors 1..mu+1 all message P0."""
+    def body(view):
+        if 1 <= view.pid <= mu + 1:
+            view.send(0, view.pid)
+
+    return Program(v, mu, [Superstep(0, body, name="fan-in")], name="fan-in")
+
+
+def _stray_program(v=64):
+    """A 1-step whose sends leave its 1-cluster: legal only under the
+    coarser label smoothing upgrades it to for x^0.5 (label set 0,2,...)."""
+    def body(view):
+        view.send(view.pid ^ (v // 2), view.pid)
+
+    return Program(v, 2, [Superstep(1, body, name="stray")], name="stray")
+
+
+class TestGuestTime:
+    """``repro.run(p, "vec")`` takes the guest time from the kernel pass;
+    every other path still runs the direct machine, with equal results."""
+
+    def test_default_vec_path_never_builds_the_direct_machine(
+        self, monkeypatch
+    ):
+        import repro.engines as engines_module
+
+        want = run("sort", engine="direct", v=64).time
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("DBSPMachine constructed")
+
+        monkeypatch.setattr(engines_module, "DBSPMachine", refuse)
+        res = run("sort", engine="vec", v=64, parallel=1)
+        assert res.baseline_time == want
+        assert res.slowdown == res.time / want
+
+    @pytest.mark.parametrize("opts", [
+        {"parallel": 2},
+        {"record_trace": True},
+        {"check_invariants": "full"},
+    ], ids=["parallel-2", "record-trace", "invariants-full"])
+    def test_fallbacks_keep_the_direct_baseline(self, opts):
+        prog = build_program("sort", 16)
+        res = run(prog, engine="vec", **opts)
+        assert res.native.guest_time is None
+        assert res.baseline_time == direct_time(prog, F)
+        assert res.slowdown == res.time / res.baseline_time
+
+    def test_brent_fine_runs_leave_guest_time_unset(self, monkeypatch):
+        seen = []
+        real = HMMSimulator.simulate
+
+        def spy(self, program, *args, **kwargs):
+            res = real(self, program, *args, **kwargs)
+            seen.append((kwargs.get("initial_pending"), res.guest_time))
+            return res
+
+        monkeypatch.setattr(HMMSimulator, "simulate", spy)
+        prog = build_program("sort", 16)
+        res = run(prog, engine="brent", kernel="vec", parallel=1)
+        assert seen and all(
+            pending is not None and guest is None for pending, guest in seen
+        )
+        assert res.baseline_time == direct_time(prog, F)
+
+    def test_hmm_engine_keeps_the_direct_baseline(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "vec")
+        calls = []
+        import repro.engines as engines_module
+
+        class Counting(DBSPMachine):
+            def run(self, program):
+                calls.append(program)
+                return super().run(program)
+
+        monkeypatch.setattr(engines_module, "DBSPMachine", Counting)
+        run("sort", engine="hmm", v=16, parallel=1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("make", [_fan_in_program, _stray_program],
+                             ids=["recv-over-mu", "cross-cluster"])
+    def test_direct_machine_errors_survive(self, make):
+        prog = make()
+        with pytest.raises(ValueError) as direct:
+            DBSPMachine(F).run(prog.with_global_sync())
+        res = HMMSimulator(F, kernel="vec", parallel=1).simulate(prog)
+        assert res.guest_time is None
+        with pytest.raises(ValueError) as fused:
+            run(prog, engine="vec", parallel=1)
+        assert str(fused.value) == str(direct.value)
+        quiet = run(prog, engine="vec", parallel=1, baseline=False)
+        assert quiet.slowdown is None and quiet.baseline_time is None
+        assert quiet.time == res.time
 
 
 # ----------------------------------------------------------------- chaos
