@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from repro.dbsp.cluster import log2_exact
 from repro.dbsp.program import ProcView, Program, Superstep
 from repro.functions import AccessFunction, LogarithmicAccess, PolynomialAccess
@@ -76,18 +78,31 @@ def matmul_program(
     if log_v % 2 != 0:
         raise ValueError(f"n-MM needs n a power of 4, got {v}")
     half_bits = log_v // 2
+    # custom values may be arbitrary semiring objects; only the default
+    # integer operands are guaranteed to round-trip through i8 columns
+    vectorizable = value_a is None and value_b is None
     value_a = value_a or (lambda r, c: r + 2 * c + 1)
     value_b = value_b or (lambda r, c: r * c + r + 1)
 
     steps: list[Superstep] = []
     _emit_steps(steps, depth=0, max_depth=half_bits, log_v=log_v)
-    steps.append(Superstep(0, _final_sync, name="mm-final-sync"))
+    steps.append(Superstep(0, _final_sync, name="mm-final-sync",
+                           array_body=_array_final_sync))
 
     def make_context(pid: int) -> dict:
         r, c = morton_decode(pid, half_bits)
         return {"a": value_a(r, c), "b": value_b(r, c), "c": 0}
 
-    return Program(v, mu, steps, make_context=make_context, name=f"matmul(n={v})")
+    return Program(
+        v,
+        mu,
+        steps,
+        make_context=make_context,
+        name=f"matmul(n={v})",
+        array_schema=(
+            {"a": "i8", "b": "i8", "c": "i8"} if vectorizable else None
+        ),
+    )
 
 
 def _final_sync(view: ProcView) -> None:
@@ -101,7 +116,8 @@ def _emit_steps(
     """Recursive schedule: shuffle round-1 operands, recurse, shuffle
     round-2 operands, recurse, restore the cluster's operand layout."""
     if depth == max_depth:
-        steps.append(Superstep(log_v, _leaf_multiply, name="mm-multiply"))
+        steps.append(Superstep(log_v, _leaf_multiply, name="mm-multiply",
+                               array_body=_array_leaf_multiply))
         return
     for phase, name in ((1, "move1"), (None, None), (2, "move2"),
                         (None, None), (3, "restore")):
@@ -110,7 +126,8 @@ def _emit_steps(
         else:
             steps.append(
                 Superstep(2 * depth, _move_body(depth, log_v, phase),
-                          name=f"mm-{name}-d{depth}")
+                          name=f"mm-{name}-d{depth}",
+                          array_body=_array_move_body(depth, log_v, phase))
             )
 
 
@@ -166,6 +183,56 @@ def _move_body(depth: int, log_v: int, phase: int):
         view.charge(1)
 
     return body
+
+
+# ------------------------------------------------------------ array bodies
+# Whole-machine forms of the bodies above (see repro.sim.kernel.ArrayView).
+# Every move step makes two send calls, masked per phase: channel 0
+# carries ``a`` and channel 1 carries ``b``, so the next step files
+# inbox pair 0 into ``a`` and pair 1 into ``b``.
+
+
+def _array_absorb(view) -> None:
+    ctx = view.ctx
+    for tag, (src, payload) in zip(("a", "b"), view.inboxes):
+        ctx[tag] = np.where(src >= 0, payload, ctx[tag])
+
+
+def _array_final_sync(view) -> None:
+    _array_absorb(view)
+    view.charge(1)
+
+
+def _array_leaf_multiply(view) -> None:
+    _array_absorb(view)
+    ctx = view.ctx
+    ctx["c"] = ctx["c"] + ctx["a"] * ctx["b"]
+    view.charge(1)
+
+
+class _array_move_body:
+    """Array counterpart of :func:`_move_body` (picklable)."""
+
+    __slots__ = ("phase", "r_bit", "c_bit")
+
+    def __init__(self, depth: int, log_v: int, phase: int):
+        self.phase = phase
+        self.r_bit = 1 << (log_v - 2 * depth - 1)
+        self.c_bit = 1 << (log_v - 2 * depth - 2)
+
+    def __call__(self, view) -> None:
+        _array_absorb(view)
+        pids = view.pids
+        r_bit, c_bit = self.r_bit, self.c_bit
+        if self.phase == 1:
+            send_a, send_b = (pids & r_bit) != 0, (pids & c_bit) != 0
+        elif self.phase == 2:
+            send_a = send_b = None
+        else:
+            send_a, send_b = (pids & r_bit) == 0, (pids & c_bit) == 0
+        view.send(pids ^ c_bit, view.ctx["a"], where=send_a)
+        view.send(pids ^ r_bit, view.ctx["b"], where=send_b)
+        view.charge(1)
 
 
 def mm_assignment_rounds(v: int = 16) -> list[dict[int, tuple[str, str]]]:

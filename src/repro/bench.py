@@ -120,31 +120,13 @@ def _run_engine_workload(
     if parallel.enabled and w.engine in ("hmm", "vec", "brent"):
         opts["parallel"] = parallel
     # raw engine throughput: span layer off, event counters on (the
-    # throughput metric is charged words per second).  Older engine
-    # revisions only know off/phases/full: probe the level on the first
-    # run only, and only swallow the "unknown trace level" rejection —
-    # a genuine engine or program ValueError must propagate.
-    trace_level = "counters"
+    # throughput metric is charged words per second)
     wall = None
     total = 0.0
     res = None
-    for attempt in range(max(1, repeats)):
+    for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        if attempt == 0:
-            try:
-                res = ENGINES[w.engine].run(
-                    program, f, trace=trace_level, **opts
-                )
-            except ValueError as exc:
-                if "trace level" not in str(exc):
-                    raise
-                trace_level = "phases"
-                t0 = time.perf_counter()
-                res = ENGINES[w.engine].run(
-                    program, f, trace=trace_level, **opts
-                )
-        else:
-            res = ENGINES[w.engine].run(program, f, trace=trace_level, **opts)
+        res = ENGINES[w.engine].run(program, f, trace="counters", **opts)
         elapsed = time.perf_counter() - t0
         total += elapsed
         if wall is None or elapsed < wall:

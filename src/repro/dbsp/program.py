@@ -66,9 +66,12 @@ class Superstep:
     called once with an array view (:class:`repro.sim.kernel.ArrayView`)
     over column-store contexts, it must be semantically identical to
     running ``body`` once per processor (the equivalence suites enforce
-    this for the built-in algorithms).  The vectorized simulation kernel
-    uses it when every non-dummy step of a program provides one; engines
-    without an array path ignore it.
+    this for the built-in algorithms).  Partial and multiple sends are
+    allowed: each ``send(dest, payload, where=mask)`` call posts one
+    message per selected processor, at most one per destination, and
+    the next step reads one aligned inbox pair per call.  The
+    vectorized simulation kernel uses it when every non-dummy step of a
+    program provides one; engines without an array path ignore it.
     """
 
     label: int

@@ -385,6 +385,18 @@ class CostTable:
             return prefix[hi] - prefix[lo]
         return float(self._prefix[hi] - self._prefix[lo])
 
+    def range_costs(self, lo, hi) -> np.ndarray:
+        """:meth:`range_cost` over arrays of bounds (one gather).
+
+        Each element equals ``range_cost(lo[i], hi[i])`` bit-for-bit;
+        scalar bounds broadcast.
+        """
+        lo = np.asarray(lo, dtype=np.intp)
+        hi = np.asarray(hi, dtype=np.intp)
+        if np.any((lo < 0) | (lo > hi) | (hi > self.size)):
+            raise IndexError(f"batched ranges outside [0, {self.size})")
+        return self._prefix[hi] - self._prefix[lo]
+
     def prefix_cost(self, n: int) -> float:
         """Cost of touching the first ``n`` cells: Fact 1 says Theta(n f(n))."""
         return self.range_cost(0, n)

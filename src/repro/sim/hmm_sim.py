@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Literal
 
+import numpy as np
+
 from repro.dbsp.cluster import cluster_of, cluster_size
 from repro.dbsp.machine import slowdown_ratio
 from repro.dbsp.program import Message, ProcView, Program, Superstep
@@ -381,12 +383,14 @@ class _HMMSimRun:
         cached = sim._run_artifacts.get((self.v, mu))
         if cached is None:
             table = self.machine.table
+            starts = np.arange(self.v, dtype=np.int64) * mu
             cached = (
-                [table.range_cost(k * mu, (k + 1) * mu) for k in range(self.v)],
+                # range_cost(k * mu, (k + 1) * mu), batched (same floats)
+                table.range_costs(starts, starts + mu).tolist(),
                 # cost of touching the first word of each slot's block —
                 # the message-endpoint charge of the delivery scan (same
                 # float the prefix fold would gather for address k * mu)
-                [table.access(k * mu) for k in range(self.v)],
+                table.access_many(starts).tolist(),
             )
             sim._run_artifacts[(self.v, mu)] = cached
         self._block_cost, self._slot_word_cost = cached

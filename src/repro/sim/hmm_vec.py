@@ -1,20 +1,24 @@
 """Vectorized execution of the HMM round scheduler (the ``vec`` kernel).
 
 The key observation (the charge-tape contract of the parallel scheduler,
-taken to its conclusion): for a fixed access function and machine shape,
-the Figure 1 schedule — which cluster runs in which round, every context
-cycling charge, every swap charge, the *order* of every elementary
-``time +=`` — depends only on the smoothed label sequence, never on what
-the superstep bodies compute.  So the schedule is compiled once into a
-:class:`ChargePlan` (cached per ``(f, v, mu, labels)``), bodies are run
-superstep-major (valid because processor bodies within a superstep are
-independent — the direct engine already executes step-major and passes
-the equivalence suites), and the charged clock is produced by scattering
-the plan's charge templates, the bodies' local times and the batched
-delivery charges into one operand stream and folding it with a single
-``np.cumsum`` — the same fold :meth:`repro.functions.CostTable.fold_access`
-uses, which reproduces the serial ``t += c`` sequence bit-for-bit,
-including every intermediate clock value.
+taken to its conclusion): the Figure 1 schedule — which cluster runs in
+which round, which context every cycling charge and every swap touches,
+the *order* of every elementary ``time +=`` — depends only on the
+machine shape and the smoothed label sequence, never on what the
+superstep bodies compute.  The access function sets the charges, and
+(through smoothing) which label sequence the run has.  So the schedule
+is compiled once into a :class:`ChargePlan` cached per shape
+``(v, mu, labels)``, and :func:`_price` turns it into charge arrays for
+one access function with a gather (memoized on the plan for its most
+recent function).  Bodies are run superstep-major (valid because
+processor bodies within a superstep are independent — the direct engine
+already executes step-major and passes the equivalence suites), and the
+charged clock is produced by scattering the priced charge templates, the
+bodies' local times and the batched delivery charges into one operand
+stream and folding it with a single ``np.cumsum`` — the same fold
+:meth:`repro.functions.CostTable.fold_access` uses, which reproduces the
+serial ``t += c`` sequence bit-for-bit, including every intermediate
+clock value.
 
 Observability is preserved exactly: counters replicate the scalar
 ``add`` calls (amounts *and* key-creation).  In ``phases`` mode the
@@ -40,7 +44,7 @@ Two body-execution modes share all of the above:
 * **array mode** — every non-dummy superstep carries an ``array_body``
   and the program declares an ``array_schema``: contexts become column
   arrays, bodies run as whole-machine numpy programs, and message
-  delivery is an aligned scatter.  This is the ≥10x path.
+  delivery is an aligned scatter per send call.  This is the ≥10x path.
 * **per-processor mode** — scalar bodies are executed step-major with
   the ordinary :class:`~repro.dbsp.program.ProcView`; charging and
   delivery batching are still vectorized.  Any program runs this way
@@ -50,6 +54,7 @@ Two body-execution modes share all of the above:
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from functools import partial
 
@@ -68,33 +73,40 @@ _PLAN_CACHE_MAX = 8
 _PLAN_CACHE_HITS = 0
 _PLAN_CACHE_MISSES = 0
 _PLAN_CACHE_EVICTIONS = 0
+#: guards the plan cache, its counters and every plan's ``priced`` memo:
+#: service shards run cells inline in concurrent handler threads
+_PLAN_LOCK = threading.Lock()
 
 
 class ChargePlan:
     """The compiled, body-independent part of one HMM simulation run.
 
     Per round: the superstep simulated, the cluster (``first``/``csize``),
-    the fixed charge template (dummy sync or cycling charges with holes
-    for the bodies' local times) and the Step 4 swap charges.  Plus the
-    gather/scatter indices and counter constants needed to assemble a
-    full run's charge stream without touching the scalar loop.
+    the length of its fixed charge template (dummy sync, or cycling
+    charges with holes for the bodies' local times) and its Step 4 swaps
+    as ``(0, b, length)`` slot ranges (``a`` is always the top).  Plus
+    the gather/scatter indices and counter constants needed to assemble
+    a full run's charge stream without touching the scalar loop.
+
+    A plan holds no charge: it depends on the machine shape and the
+    smoothed label sequence only.  :func:`_price` turns it into charge
+    arrays for one access function; ``priced`` memoizes the most recent
+    ``(f, A_all, C_all, wc)``.
     """
 
     __slots__ = (
         "v", "mu", "n_steps", "R",
-        "step", "first", "csize", "label", "dummy",
-        "a_len", "A_all", "local_pos", "local_src",
-        "c_len", "C_all",
-        "b_starts_cache",
+        "step", "first", "csize", "label", "dummy", "max_csize",
+        "a_len", "local_pos", "local_src",
+        "c_len", "swap_b", "swap_len",
         "rounds_of_step", "csize_of_step",
-        "wc",
         "cycle_words", "n_normal_rounds", "n_dummy_rounds",
         "total_context_swaps", "total_swap_words",
-        "phase_layout",
+        "stream_layout", "phase_layout", "priced",
     )
 
 
-def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
+def _build_plan(v, mu, steps) -> ChargePlan:
     """Replay the Figure 1 scheduler bookkeeping (no bodies, no clock).
 
     This is a faithful replication of ``_HMMSimRun.execute``'s control
@@ -103,146 +115,104 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
     """
     n_steps = len(steps)
     labels = [s.label for s in steps]
-    dummy_step = [s.body is None for s in steps]
+    pid_range = list(range(v))
     slot_to_pid = list(range(v))
     next_step = [0] * v
+    # one int per round, step * v + first, and per swap, round * v + b
+    # (the swap exchanges slot ranges [0, csize) and [b, b + csize));
+    # flat int lists convert to arrays far faster than lists of tuples
+    rounds: list[int] = []
+    swaps: list[int] = []
+    add_round = rounds.append
+    add_swap = swaps.append
 
-    r_step: list[int] = []
-    r_first: list[int] = []
-    r_csize: list[int] = []
-    r_label: list[int] = []
-    r_dummy: list[bool] = []
-    c_len: list[int] = []
-    a_parts: list[np.ndarray] = []
-    a_len: list[int] = []
-    swap_charges: list[float] = []
-    rounds_of_step: dict[int, list[int]] = {}
-
-    cycle_words = 0
-    n_dummy_rounds = 0
-    total_context_swaps = 0
-    total_swap_words = 0
-
-    top_cost = block_cost[0]
-    # per-csize charge template for a normal round: a hole for the k=0
-    # local time, then (bc_k, bc_k, top, top, hole) per cycled context
-    templates: dict[int, np.ndarray] = {}
-
-    def template_for(csize: int) -> np.ndarray:
-        tpl = templates.get(csize)
-        if tpl is None:
-            tpl = np.zeros(5 * csize - 4, dtype=np.float64)
-            for k in range(1, csize):
-                bc = block_cost[k]
-                base = 5 * k - 4
-                tpl[base] = bc
-                tpl[base + 1] = bc
-                tpl[base + 2] = top_cost
-                tpl[base + 3] = top_cost
-            templates[csize] = tpl
-        return tpl
-
-    def do_swap(a: int, b: int, length: int) -> None:
-        nonlocal total_context_swaps, total_swap_words
-        charge = 2.0 * (
-            table.range_cost(a * mu, (a + length) * mu)
-            + table.range_cost(b * mu, (b + length) * mu)
-        )
-        swap_charges.append(charge)
-        total_context_swaps += 2 * length
-        total_swap_words += 2 * length * mu
-        pids_a = slot_to_pid[a : a + length]
-        slot_to_pid[a : a + length] = slot_to_pid[b : b + length]
-        slot_to_pid[b : b + length] = pids_a
+    # per step: cluster size, then for the Step 4 swaps that follow it
+    # the sibling count (0: no swaps) and the offset mask of the parent
+    # cluster the siblings share
+    shape = []
+    for s, label in enumerate(labels):
+        next_label = labels[s + 1] if s + 1 < n_steps else label
+        n_sib = 1 << (label - next_label) if next_label < label else 0
+        shape.append((v >> label, n_sib, (v >> next_label) - 1))
 
     while True:
         top_pid = slot_to_pid[0]
         s = next_step[top_pid]
         if s >= n_steps:
             break
-        label = labels[s]
-        csize = v >> label
+        csize, n_sib, parent_mask = shape[s]
         first = top_pid & -csize
-        # Theorem 4 invariants, asserted once per (f, v, mu, labels)
-        if slot_to_pid[:csize] != list(range(first, first + csize)):
+        end = first + csize
+        # Theorem 4 invariants, asserted once per (v, mu, labels) shape
+        if slot_to_pid[:csize] != pid_range[first:end]:
             raise AssertionError(
-                f"Invariant 2 violated at round {len(r_step)}: top slots "
-                f"{slot_to_pid[:csize]} != cluster [{first}, {first + csize})"
+                f"Invariant 2 violated at round {len(rounds)}: top slots "
+                f"{slot_to_pid[:csize]} != cluster [{first}, {end})"
             )
-        if next_step[first : first + csize] != [s] * csize:
+        if next_step[first:end] != [s] * csize:
             raise AssertionError(
-                f"Invariant 1 violated at round {len(r_step)}: cluster "
-                f"[{first}, {first + csize}) not {s}-ready"
+                f"Invariant 1 violated at round {len(rounds)}: cluster "
+                f"[{first}, {end}) not {s}-ready"
             )
-        r = len(r_step)
-        r_step.append(s)
-        r_first.append(first)
-        r_csize.append(csize)
-        r_label.append(label)
-        if dummy_step[s]:
-            r_dummy.append(True)
-            a_parts.append(np.array([float(csize)]))
-            a_len.append(1)
-            n_dummy_rounds += 1
-        else:
-            r_dummy.append(False)
-            tpl = template_for(csize)
-            a_parts.append(tpl)
-            a_len.append(len(tpl))
-            cycle_words += 4 * mu * (csize - 1)
-            rounds_of_step.setdefault(s, []).append(r)
-        for pid in range(first, first + csize):
-            next_step[pid] += 1
-
-        n_swaps_before = len(swap_charges)
-        done = next_step[slot_to_pid[0]] >= n_steps
-        if not done and s + 1 < n_steps:
-            next_label = labels[s + 1]
-            if next_label < label:
-                b = 1 << (label - next_label)
-                parent_size = v >> next_label
-                parent_first = first & -parent_size
-                j = (first - parent_first) // csize
-                if j > 0:
-                    do_swap(0, j * csize, csize)
-                if j < b - 1:
-                    do_swap(0, (j + 1) * csize, csize)
-        c_len.append(len(swap_charges) - n_swaps_before)
-        if done:
-            break
+        r = len(rounds)
+        add_round(s * v + first)
+        s += 1
+        next_step[first:end] = [s] * csize
+        if s >= n_steps:
+            break  # the top cluster finished the program
+        if n_sib:
+            # Step 4: swap the top slots [0, csize) with [b, b + csize):
+            # C <-> C0 parked at C's home (k = j), then C0 <-> C_{j+1}
+            # (k = j + 1), where those exist among the n_sib siblings
+            j = (first & parent_mask) // csize
+            for k in (j, j + 1):
+                if 0 < k < n_sib:
+                    b = k * csize
+                    add_swap(r * v + b)
+                    head = slot_to_pid[:csize]
+                    slot_to_pid[:csize] = slot_to_pid[b : b + csize]
+                    slot_to_pid[b : b + csize] = head
 
     plan = ChargePlan()
     plan.v = v
     plan.mu = mu
     plan.n_steps = n_steps
-    plan.R = len(r_step)
-    plan.step = np.array(r_step, dtype=np.int64)
-    plan.first = np.array(r_first, dtype=np.int64)
-    plan.csize = np.array(r_csize, dtype=np.int64)
-    plan.label = np.array(r_label, dtype=np.int64)
-    plan.dummy = np.array(r_dummy, dtype=bool)
-    plan.a_len = np.array(a_len, dtype=np.int64)
-    plan.A_all = (
-        np.concatenate(a_parts) if a_parts else np.empty(0, dtype=np.float64)
+    plan.R = R = len(rounds)
+    plan.step, plan.first = np.divmod(np.array(rounds, dtype=np.int64), v)
+    plan.label = np.array(labels, dtype=np.int64)[plan.step]
+    plan.csize = v >> plan.label
+    plan.dummy = np.array(
+        [st.body is None for st in steps], dtype=bool
+    )[plan.step]
+    normal = ~plan.dummy
+    plan.max_csize = int(plan.csize[normal].max()) if normal.any() else 1
+    # a dummy round charges one operand, a normal one 5 * csize - 4
+    plan.a_len = np.where(plan.dummy, 1, 5 * plan.csize - 4)
+    swap_round, swap_b = np.divmod(np.array(swaps, dtype=np.int64), v)
+    plan.c_len = np.bincount(swap_round, minlength=R)
+    index = np.min_scalar_type(v)
+    plan.swap_b = swap_b.astype(index)
+    plan.swap_len = plan.csize[swap_round].astype(index)
+    # the normal rounds simulating each superstep, in round order
+    n_round = np.flatnonzero(normal)
+    n_step = plan.step[n_round]
+    order = np.argsort(n_step, kind="stable")
+    uniq, starts = np.unique(n_step[order], return_index=True)
+    plan.rounds_of_step = dict(
+        zip(uniq.tolist(), np.split(n_round[order], starts[1:]))
     )
-    plan.c_len = np.array(c_len, dtype=np.int64)
-    plan.C_all = np.array(swap_charges, dtype=np.float64)
-    plan.wc = np.array(word_cost, dtype=np.float64)
-    plan.rounds_of_step = {
-        s: np.array(rs, dtype=np.int64) for s, rs in rounds_of_step.items()
-    }
-    plan.csize_of_step = {s: v >> labels[s] for s in rounds_of_step}
-    plan.cycle_words = cycle_words
-    plan.n_normal_rounds = int(plan.R - n_dummy_rounds)
-    plan.n_dummy_rounds = n_dummy_rounds
-    plan.total_context_swaps = total_context_swaps
-    plan.total_swap_words = total_swap_words
-    plan.b_starts_cache = {}
+    plan.csize_of_step = {s: v >> labels[s] for s in plan.rounds_of_step}
+    plan.cycle_words = 4 * mu * int((plan.csize[normal] - 1).sum())
+    plan.n_normal_rounds = len(n_round)
+    plan.n_dummy_rounds = R - len(n_round)
+    plan.total_context_swaps = 2 * int(plan.swap_len.sum(dtype=np.int64))
+    plan.total_swap_words = plan.total_context_swaps * mu
+    plan.stream_layout = None
     plan.phase_layout = None
+    plan.priced = None
 
     # positions of the local-time holes inside A_all, and the
     # (step * v + pid) source index each hole reads from local_flat
-    normal = ~plan.dummy
     a_off = np.zeros(plan.R, dtype=np.int64)
     np.cumsum(plan.a_len[:-1], out=a_off[1:])
     n_csize = plan.csize[normal]
@@ -258,47 +228,88 @@ def _build_plan(v, mu, steps, block_cost, word_cost, table) -> ChargePlan:
     return plan
 
 
+def _price(plan, block_cost, word_cost, table):
+    """The plan's charge arrays under one access function.
+
+    ``A_all`` is one gather from a bank holding the largest normal
+    round's template — a hole (``0.0``, overwritten by the local time)
+    then ``(bc_k, bc_k, top, top, hole)`` per cycled context ``k`` —
+    followed by every dummy round's ``float(csize)``, indexed by label.
+    Every smaller template is a prefix of the largest one, so a normal
+    round reads the bank from position 0.  ``C_all`` prices every swap
+    with :meth:`~repro.functions.CostTable.range_costs`, the batched
+    face of the ``range_cost`` sums the scalar swap charges: the same
+    floats, added in the same order.
+    """
+    v = plan.v
+    mu = plan.mu
+    width = 5 * plan.max_csize - 4
+    bank = np.zeros(width + v.bit_length(), dtype=np.float64)
+    bc = np.array(block_cost[1 : plan.max_csize], dtype=np.float64)
+    bank[1:width:5] = bc
+    bank[2:width:5] = bc
+    bank[3:width:5] = block_cost[0]
+    bank[4:width:5] = block_cost[0]
+    bank[width:] = [float(v >> label) for label in range(v.bit_length())]
+    a_start = np.where(plan.dummy, width + plan.label, 0)
+    A_all = bank[ranges_concat(a_start, plan.a_len)]
+
+    length = plan.swap_len.astype(np.int64) * mu
+    b = plan.swap_b.astype(np.int64) * mu
+    C_all = 2.0 * (
+        table.range_costs(0, length) + table.range_costs(b, b + length)
+    )
+    return A_all, C_all, np.array(word_cost, dtype=np.float64)
+
+
 def _plan_for(run) -> ChargePlan:
     global _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES, _PLAN_CACHE_EVICTIONS
-    sim = run.sim
-    steps = run.steps
-    sig = (
-        sim.f,
-        run.v,
-        run.mu,
-        tuple((s.label, s.body is None) for s in steps),
-    )
-    plan = _PLAN_CACHE.get(sig)
-    if plan is not None:
-        _PLAN_CACHE_HITS += 1
+    sig = (run.v, run.mu, tuple((s.label, s.body is None) for s in run.steps))
+    with _PLAN_LOCK:
+        plan = _PLAN_CACHE.get(sig)
+        if plan is not None:
+            _PLAN_CACHE_HITS += 1
+            _PLAN_CACHE.move_to_end(sig)
+            return plan
+        _PLAN_CACHE_MISSES += 1
+    # built outside the lock; a concurrent build of the same shape just
+    # replaces an equal plan
+    plan = _build_plan(run.v, run.mu, run.steps)
+    with _PLAN_LOCK:
+        _PLAN_CACHE[sig] = plan
         _PLAN_CACHE.move_to_end(sig)
-        return plan
-    _PLAN_CACHE_MISSES += 1
-    plan = _build_plan(
-        run.v,
-        run.mu,
-        steps,
-        run._block_cost,
-        run._slot_word_cost,
-        run.machine.table,
-    )
-    _PLAN_CACHE[sig] = plan
-    while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-        _PLAN_CACHE.popitem(last=False)
-        _PLAN_CACHE_EVICTIONS += 1
+        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
+            _PLAN_CACHE.popitem(last=False)
+            _PLAN_CACHE_EVICTIONS += 1
     return plan
+
+
+def _priced_for(run, plan) -> tuple:
+    """``(A_all, C_all, wc)`` for the run's access function, through the
+    plan's one-entry memo (replaced whole, never mutated in place)."""
+    f = run.sim.f
+    with _PLAN_LOCK:
+        priced = plan.priced
+    if priced is None or priced[0] != f:
+        priced = (f, *_price(
+            plan, run._block_cost, run._slot_word_cost, run.machine.table
+        ))
+        with _PLAN_LOCK:
+            plan.priced = priced
+    return priced[1:]
 
 
 def plan_cache_info() -> dict:
     """Introspection hook for tests and ``/v1/metrics``: cached plan
     count plus lifetime hit/miss/eviction counters (process-wide)."""
-    return {
-        "size": len(_PLAN_CACHE),
-        "max": _PLAN_CACHE_MAX,
-        "hits": _PLAN_CACHE_HITS,
-        "misses": _PLAN_CACHE_MISSES,
-        "evictions": _PLAN_CACHE_EVICTIONS,
-    }
+    with _PLAN_LOCK:
+        return {
+            "size": len(_PLAN_CACHE),
+            "max": _PLAN_CACHE_MAX,
+            "hits": _PLAN_CACHE_HITS,
+            "misses": _PLAN_CACHE_MISSES,
+            "evictions": _PLAN_CACHE_EVICTIONS,
+        }
 
 
 # --------------------------------------------------------------- bodies
@@ -316,6 +327,41 @@ def _array_mode_ok(run) -> bool:
     return all(not box for box in run.pending)
 
 
+def _inboxes(v, pids, sends) -> list:
+    """One aligned ``(src, payload)`` inbox pair per send call."""
+    out = []
+    for dest, payload, where in sends:
+        src = pids
+        if where is not None:
+            src, dest, payload = pids[where], dest[where], payload[where]
+        in_src = np.full(v, -1, dtype=np.int64)
+        in_src[dest] = src
+        in_payload = np.zeros(v, dtype=payload.dtype)
+        in_payload[dest] = payload
+        out.append((in_src, in_payload))
+    return out
+
+
+def _outbox(pids, sends) -> tuple[np.ndarray, np.ndarray]:
+    """A step's ``(src, dest)`` in scalar outbox order: pid-major, then
+    call order, masked lanes dropped."""
+    if len(sends) == 1:
+        dest, _, where = sends[0]
+        if where is None:
+            return pids, dest
+        return pids[where], dest[where]
+    dest = np.stack([d for d, _, _ in sends], axis=1).ravel()
+    src = np.repeat(pids, len(sends))
+    if any(w is not None for _, _, w in sends):
+        keep = np.stack(
+            [np.ones(len(pids), dtype=bool) if w is None else w
+             for _, _, w in sends],
+            axis=1,
+        ).ravel()
+        return src[keep], dest[keep]
+    return src, dest
+
+
 def _run_bodies_array(run, local_flat, step_src, step_dest):
     """Array mode: column contexts, one ``array_body`` call per step."""
     v = run.v
@@ -327,44 +373,21 @@ def _run_bodies_array(run, local_flat, step_src, step_dest):
         for name, dt in schema.items()
     }
     pids = np.arange(v, dtype=np.int64)
-    unconsumed = None  # (src, dest, payload) sent but not yet delivered
+    unconsumed = None  # the last body step's sends, not yet delivered
     for s, st in enumerate(steps):
         if st.body is None:
             continue
-        if unconsumed is not None:
-            u_src, u_dest, u_payload = unconsumed
-            in_src = np.full(v, -1, dtype=np.int64)
-            in_src[u_dest] = u_src
-            in_payload = np.zeros(v, dtype=u_payload.dtype)
-            in_payload[u_dest] = u_payload
-            unconsumed = None
-        else:
-            in_src = in_payload = None
-        view = ArrayView(pids, v, run.mu, st.label, cols, in_src, in_payload)
+        inboxes = _inboxes(v, pids, unconsumed) if unconsumed else []
+        in_src, in_payload = inboxes[0] if len(inboxes) == 1 else (None, None)
+        unconsumed = None
+        view = ArrayView(
+            pids, v, run.mu, st.label, cols, in_src, in_payload, inboxes
+        )
         st.array_body(view)
         local_flat[s * v : (s + 1) * v] = view.local_time
-        sends = view._sends
-        if not sends:
-            continue
-        if len(sends) == 1:
-            dest, payload = sends[0]
-            src = pids
-        else:
-            # pid-major interleave: processor k's sends in call order,
-            # then processor k+1's — the scalar outbox order
-            dest = np.stack([d for d, _ in sends], axis=1).ravel()
-            payload = np.stack([p for _, p in sends], axis=1).ravel()
-            src = np.repeat(pids, len(sends))
-        counts = np.bincount(dest, minlength=v)
-        if counts.max() > 1:
-            raise RuntimeError(
-                f"array step {st.name!r} delivered multiple messages to "
-                f"one processor — aligned array inboxes require at most "
-                f"one; use the scalar body for this program"
-            )
-        step_src[s] = src
-        step_dest[s] = dest
-        unconsumed = (src, dest, payload)
+        if view._sends:
+            unconsumed = view._sends
+            step_src[s], step_dest[s] = _outbox(pids, unconsumed)
 
     # write columns back into the per-processor dicts (native scalars,
     # exactly what the scalar bodies would have stored)
@@ -374,20 +397,21 @@ def _run_bodies_array(run, local_flat, step_src, step_dest):
             contexts[pid][name] = values[pid]
     if unconsumed is not None:
         # the program ended with undelivered-to-a-body messages (its
-        # trailing steps were dummies): group them into sorted inboxes
-        src, dest, payload = unconsumed
-        order = np.argsort(dest, kind="stable")
-        d_sorted = dest[order].tolist()
-        s_sorted = src[order].tolist()
-        p_sorted = payload[order].tolist()
+        # trailing steps were dummies): file them into inboxes sorted by
+        # sender, equal senders in call order
+        msgs = []
+        for call, (dest, payload, where) in enumerate(unconsumed):
+            src = pids
+            if where is not None:
+                src, dest, payload = pids[where], dest[where], payload[where]
+            msgs.extend(zip(
+                dest.tolist(), src.tolist(), [call] * len(src),
+                payload.tolist(),
+            ))
+        msgs.sort(key=lambda m: m[:3])
         pending = run.pending
-        box: list[Message] = []
-        prev = None
-        for d, sp, pp in zip(d_sorted, s_sorted, p_sorted):
-            if d != prev:
-                box = pending[d] = []
-                prev = d
-            box.append(Message(sp, pp))
+        for d, sp, _, pp in msgs:
+            pending[d].append(Message(sp, pp))
 
 
 def _run_bodies_scalar(run, local_flat, step_src, step_dest):
@@ -432,7 +456,7 @@ def _run_bodies_scalar(run, local_flat, step_src, step_dest):
 
 
 # ------------------------------------------------------------- assembly
-def _delivery_stream(plan, step_src, step_dest):
+def _delivery_stream(plan, wc, step_src, step_dest):
     """Per-round delivery charges, in round order.
 
     Step-major send arrays are charged in one vectorized pass per step
@@ -447,7 +471,6 @@ def _delivery_stream(plan, step_src, step_dest):
     b_start = np.zeros(R, dtype=np.int64)
     parts: list[np.ndarray] = []
     base = 0
-    wc = plan.wc
     for s, rounds_idx in plan.rounds_of_step.items():
         src = step_src[s]
         if src is None:
@@ -469,21 +492,24 @@ def _delivery_stream(plan, step_src, step_dest):
     return inter_concat[ranges_concat(b_start, b_len)], b_len
 
 
-def _assemble_stream(plan, local_flat, step_src, step_dest):
+def _assemble_stream(plan, priced, local_flat, step_src, step_dest):
     """Scatter charge templates, local times and delivery charges into
     the one operand stream the scalar engine folds serially.
 
     The scatter indices depend on the plan and on ``b_len`` only — and
     repeated runs of the same program deliver the same per-round message
     counts — so they are cached on the plan (one entry, keyed by the
-    ``b_len`` bytes; a different delivery pattern just rebuilds).  The
-    cache turns assembly from three index constructions plus a template
-    copy into three fancy-index writes.
+    ``b_len`` bytes and replaced whole; a different delivery pattern
+    just rebuilds).  The cache turns assembly from three index
+    constructions plus a template copy into three fancy-index writes.
     """
-    B, b_len = _delivery_stream(plan, step_src, step_dest)
+    A_all, C_all, wc = priced
+    B, b_len = _delivery_stream(plan, wc, step_src, step_dest)
     key = b_len.tobytes()
-    cached = plan.b_starts_cache.get(key)
-    if cached is None:
+    layout = plan.stream_layout
+    if layout is not None and layout[0] == key:
+        cached = layout[1]
+    else:
         r_len = plan.a_len + b_len + plan.c_len
         off = np.zeros(plan.R + 1, dtype=np.int64)
         np.cumsum(r_len, out=off[1:])
@@ -491,22 +517,21 @@ def _assemble_stream(plan, local_flat, step_src, step_dest):
         b_idx = ranges_concat(off[:-1] + plan.a_len, b_len)
         c_idx = ranges_concat(off[:-1] + plan.a_len + b_len, plan.c_len)
         local_idx = a_idx[plan.local_pos]
-        plan.b_starts_cache.clear()  # keep exactly one pattern resident
         cached = (off, a_idx, b_idx, c_idx, local_idx)
-        plan.b_starts_cache[key] = cached
+        plan.stream_layout = (key, cached)
     off, a_idx, b_idx, c_idx, local_idx = cached
     # one extra slot up front: the caller seeds it with the machine
     # clock and cumsums in place, so the stream never has to be copied
     # into a separate fold buffer
     buf = np.empty(off[-1] + 1, dtype=np.float64)
     stream = buf[1:]
-    stream[a_idx] = plan.A_all
+    stream[a_idx] = A_all
     if local_idx.size:
         stream[local_idx] = local_flat[plan.local_src]
     if B.size:
         stream[b_idx] = B
-    if plan.C_all.size:
-        stream[c_idx] = plan.C_all
+    if C_all.size:
+        stream[c_idx] = C_all
     return buf, off, b_len
 
 
@@ -782,7 +807,9 @@ def execute_vec(run) -> None:
             local_flat, step_src, step_dest,
         )
 
-    buf, off, b_len = _assemble_stream(plan, local_flat, step_src, step_dest)
+    buf, off, b_len = _assemble_stream(
+        plan, _priced_for(run, plan), local_flat, step_src, step_dest
+    )
     if run.tape_rec is not None:
         run.tape_rec.charges.frombytes(buf[1:].tobytes())
     _add_counters(run, plan, b_len)

@@ -46,17 +46,22 @@ class ArrayView:
     The array counterpart of :class:`~repro.dbsp.program.ProcView`: one
     view per superstep execution, covering every processor at once.
     ``ctx`` maps context field names to length-``n`` column arrays
-    (``n == len(pids)``); ``inbox_src`` / ``inbox_payload`` are aligned
-    per-processor arrays (position ``k`` holds the message received by
-    ``pids[k]``, ``inbox_src[k] == -1`` when it received none), or
-    ``None`` when no messages were delivered.
+    (``n == len(pids)``).  ``inboxes`` holds one aligned
+    ``(src, payload)`` pair of length-``n`` arrays per :meth:`send` call
+    of the previous body step, in call order: position ``k`` of pair
+    ``j`` is the message that call ``j`` delivered to ``pids[k]``
+    (``src[k] == -1`` when it delivered none).  ``inbox_src`` /
+    ``inbox_payload`` are the one pair when that step made exactly one
+    send call, and ``None`` otherwise.
 
     Contract for ``array_body`` authors: the body must be semantically
     identical to running the scalar ``body`` once per processor — same
-    context updates, same messages, same ``charge`` calls.  Sends are
-    full-width: every processor sends in each :meth:`send` call (partial
-    sends need the scalar body).  The equivalence suites enforce the
-    contract for the built-in algorithm library.
+    context updates, same messages, same ``charge`` calls.  Each
+    :meth:`send` call posts at most one message per processor, and the
+    processors selected by its ``where`` mask (all of them by default)
+    must name distinct destinations.  The kernel keeps the scalar
+    outbox order: pid-major, then call order.  The equivalence suites
+    enforce the contract for the built-in algorithm library.
     """
 
     __slots__ = (
@@ -67,6 +72,7 @@ class ArrayView:
         "ctx",
         "inbox_src",
         "inbox_payload",
+        "inboxes",
         "local_time",
         "_sends",
     )
@@ -80,6 +86,7 @@ class ArrayView:
         ctx: dict[str, np.ndarray],
         inbox_src: np.ndarray | None,
         inbox_payload: np.ndarray | None,
+        inboxes: list[tuple[np.ndarray, np.ndarray]] | None = None,
     ):
         self.pids = pids
         self.v = v
@@ -88,31 +95,71 @@ class ArrayView:
         self.ctx = ctx
         self.inbox_src = inbox_src
         self.inbox_payload = inbox_payload
+        if inboxes is None:
+            inboxes = [] if inbox_src is None else [(inbox_src, inbox_payload)]
+        self.inboxes = inboxes
         #: per-processor local computation time; every superstep costs >= 1
         self.local_time = np.ones(len(pids), dtype=np.float64)
-        self._sends: list[tuple[np.ndarray, np.ndarray]] = []
+        #: one ``(dest, payload, where)`` per send call, full-width
+        self._sends: list[tuple[np.ndarray, np.ndarray, Any]] = []
 
-    def send(self, dest: np.ndarray, payload: np.ndarray) -> None:
-        """Post one message per processor (``dest[k]`` from ``pids[k]``)."""
+    def send(self, dest: np.ndarray, payload: Any, where: Any = None) -> None:
+        """Post one message per processor (``dest[k]`` from ``pids[k]``).
+
+        ``dest`` and ``payload`` are full-width; with a boolean ``where``
+        mask only the selected processors send (the others' ``dest`` and
+        ``payload`` lanes are ignored).  The checks are
+        :meth:`ProcView.send`'s, over the selected lanes: destination
+        range, the label's cluster boundary and the ``mu`` buffer — plus
+        at most one message per destination in one call.
+        """
+        pids = self.pids
         dest = np.asarray(dest)
-        if dest.shape != self.pids.shape:
+        if dest.shape != pids.shape:
             raise ValueError(
-                f"send is full-width: expected {self.pids.shape} "
+                f"send is full-width: expected {pids.shape} "
                 f"destinations, got {dest.shape}"
             )
-        if dest.size and (dest.min() < 0 or dest.max() >= self.v):
-            raise ValueError(f"destination outside [0, {self.v})")
-        # same aligned-cluster check as ProcView.send, over the whole batch
-        if np.any((self.pids ^ dest) >= (self.v >> self.label)):
-            raise ValueError(
-                f"send crosses a {self.label}-cluster boundary"
+        payload = np.asarray(payload)
+        if payload.shape != pids.shape:
+            payload = np.broadcast_to(payload, pids.shape)
+        d, p = dest, pids
+        if where is not None:
+            where = np.asarray(where, dtype=bool)
+            if where.shape != pids.shape:
+                raise ValueError(
+                    f"send mask is full-width: expected {pids.shape}, "
+                    f"got {where.shape}"
+                )
+            d, p = dest[where], pids[where]
+        if d.size:
+            counts = np.bincount(d) if d.min() >= 0 else None
+            if counts is None or len(counts) > self.v:
+                raise ValueError(f"destination outside [0, {self.v})")
+            # same aligned-cluster check as ProcView.send, over the batch
+            if ((p ^ d) >= (self.v >> self.label)).any():
+                raise ValueError(
+                    f"send crosses a {self.label}-cluster boundary"
+                )
+            if counts.max() > 1:
+                raise ValueError(
+                    "send names one destination twice: an aligned array "
+                    "inbox holds one message per send call"
+                )
+        sends = self._sends
+        if len(sends) >= self.mu:
+            # per-processor buffer count, as ProcView counts its outbox
+            sent = np.ones(len(pids), dtype=np.int64) if where is None else (
+                where.astype(np.int64)
             )
-        if len(self._sends) >= self.mu:
-            raise ValueError(
-                f"exceeded the mu={self.mu} outgoing message buffer "
-                f"in one superstep"
-            )
-        self._sends.append((dest, np.asarray(payload)))
+            for _, _, w in sends:
+                sent += 1 if w is None else w
+            if sent.max() > self.mu:
+                raise ValueError(
+                    f"exceeded the mu={self.mu} outgoing message buffer "
+                    f"in one superstep"
+                )
+        sends.append((dest, payload, where))
 
     def charge(self, t: Any) -> None:
         """Account ``t`` additional units of local computation.
@@ -120,9 +167,18 @@ class ArrayView:
         ``t`` may be a scalar (uniform across the cluster) or a
         per-processor array.
         """
-        if np.any(np.asarray(t) < 0):
+        if isinstance(t, (int, float)):
+            negative = t < 0
+        else:
+            negative = (np.asarray(t) < 0).any()
+        if negative:
             raise ValueError(f"cannot charge negative time {t!r}")
         self.local_time += t
+
+
+def _globalize(src: np.ndarray, offset: int) -> np.ndarray:
+    """Shift inbox senders by ``offset``, keeping ``-1`` (no message)."""
+    return np.where(src >= 0, src + offset, -1)
 
 
 class GlobalizedArrayView:
@@ -137,7 +193,7 @@ class GlobalizedArrayView:
     """
 
     __slots__ = ("_view", "_offset", "pids", "v", "mu", "label", "ctx",
-                 "inbox_src", "inbox_payload")
+                 "inbox_src", "inbox_payload", "inboxes")
 
     def __init__(self, view: ArrayView, offset: int, v_global: int,
                  label_shift: int = 0):
@@ -149,12 +205,16 @@ class GlobalizedArrayView:
         self.label = view.label + label_shift
         self.ctx = view.ctx
         self.inbox_src = (
-            view.inbox_src + offset if view.inbox_src is not None else None
+            _globalize(view.inbox_src, offset)
+            if view.inbox_src is not None else None
         )
         self.inbox_payload = view.inbox_payload
+        self.inboxes = [
+            (_globalize(src, offset), payload) for src, payload in view.inboxes
+        ]
 
-    def send(self, dest, payload) -> None:
-        self._view.send(np.asarray(dest) - self._offset, payload)
+    def send(self, dest, payload, where=None) -> None:
+        self._view.send(np.asarray(dest) - self._offset, payload, where)
 
     def charge(self, t) -> None:
         self._view.charge(t)

@@ -79,6 +79,21 @@ class TestFoldAccessEqualsScalarLoop:
         for x, cost in zip(xs, many):
             assert cost == table.access(x)
 
+    @pytest.mark.parametrize("f", FUNCTIONS, ids=IDS)
+    def test_range_costs_match_range_cost(self, f: AccessFunction):
+        size = 1 << 10
+        table = CostTable.shared(f, size)
+        rng = random.Random(4321)
+        lo = [rng.randrange(size) for _ in range(50)] + [0, size]
+        hi = [x + rng.randrange(size - x + 1) for x in lo]
+        many = table.range_costs(lo, hi)
+        for a, b, cost in zip(lo, hi, many):
+            assert cost == table.range_cost(a, b)
+        with pytest.raises(IndexError):
+            table.range_costs([0, 5], [3, size + 1])
+        with pytest.raises(IndexError):
+            table.range_costs([4], [3])
+
     def test_ndarray_input_takes_numpy_path_identically(self):
         table = CostTable.shared(PolynomialAccess(0.5), 1 << 10)
         xs = [3, 9, 511, 511, 17, 0]

@@ -31,6 +31,7 @@ from repro.engines import (
 )
 from repro.functions import (
     AccessFunction,
+    CostTable,
     LogarithmicAccess,
     PolynomialAccess,
     VectorizationWarning,
@@ -196,6 +197,199 @@ class TestPlanCache:
                 HMMSimulator(F, kernel="vec").simulate(prog)
         info = plan_cache_info()
         assert info["size"] <= info["max"]
+
+
+def _hits_after(prog, f, trace="phases"):
+    """Run ``prog`` on the vec kernel; return the result and whether the
+    run hit the plan cache."""
+    before = plan_cache_info()["hits"]
+    res = HMMSimulator(f, kernel="vec", trace=trace, parallel=1).simulate(prog)
+    return res, plan_cache_info()["hits"] == before + 1
+
+
+def assert_matches_hmm(res, prog, f):
+    """``==`` to the scalar kernel on every charged output, and the fused
+    guest time ``==`` to the direct machine's."""
+    ref = HMMSimulator(f, kernel="scalar", trace="phases").simulate(prog)
+    assert res.time == ref.time
+    assert res.counters == ref.counters
+    assert res.breakdown == ref.breakdown
+    assert res.contexts == ref.contexts
+    assert res.guest_time == direct_time(prog, f)
+
+
+X06, X07, X05 = (PolynomialAccess(a) for a in (0.6, 0.7, 0.5))
+
+
+class TestShapeKeyedPlans:
+    """Plans are keyed on (v, mu, label/dummy shape); the access function
+    enters through pricing (and through smoothing's label set)."""
+
+    @pytest.mark.parametrize("name", ["sort", "fft-rec", "matmul"])
+    def test_functions_sharing_a_label_set_share_the_plan(self, name):
+        # x^0.6 and x^0.7 smooth to the same label set at v=256
+        prog = build_program(name, 256)
+        hmm_vec._PLAN_CACHE.clear()
+        first, hit = _hits_after(prog, X06)
+        assert not hit
+        second, hit = _hits_after(prog, X07)
+        assert hit
+        assert plan_cache_info()["size"] == 1
+        assert_matches_hmm(first, prog, X06)
+        assert_matches_hmm(second, prog, X07)
+
+    def test_interleaved_functions_reprice_identically(self):
+        prog = build_program("sort", 256)
+        hmm_vec._PLAN_CACHE.clear()
+        for f in (X06, X07, X06):
+            res, _ = _hits_after(prog, f)
+            (plan,) = hmm_vec._PLAN_CACHE.values()
+            assert plan.priced[0] == f
+            assert_matches_hmm(res, prog, f)
+
+    def test_memo_survives_a_repeated_function(self, monkeypatch):
+        prog = build_program("fft-rec", 64)
+        _hits_after(prog, X06)
+        calls = []
+        real = hmm_vec._price
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hmm_vec, "_price", spy)
+        res, hit = _hits_after(prog, PolynomialAccess(0.6))  # equal, not same
+        assert hit and not calls
+        _hits_after(prog, X07)
+        assert len(calls) == 1
+        assert_matches_hmm(res, prog, X06)
+
+    def test_a_new_label_set_builds_a_new_plan(self):
+        prog = build_program("matmul", 256)
+        hmm_vec._PLAN_CACHE.clear()
+        _hits_after(prog, X06)
+        res, hit = _hits_after(prog, X05)
+        assert not hit
+        assert plan_cache_info()["size"] == 2
+        assert_matches_hmm(res, prog, X05)
+
+    def test_price_matches_the_scalar_charges(self):
+        """``_price`` gathers the floats the scalar loop charges: the
+        cycling template, dummy syncs and ``range_cost`` swap sums."""
+        prog = build_program("fft-dag", 64)
+        f = resolve_access_function("x^0.3")
+        hmm_vec._PLAN_CACHE.clear()
+        HMMSimulator(f, kernel="vec", parallel=1).simulate(prog)
+        (plan,) = hmm_vec._PLAN_CACHE.values()
+        A_all, C_all, _ = plan.priced[1:]
+        table = CostTable.shared(f, plan.v * plan.mu)
+        mu = plan.mu
+        bc = [table.range_cost(k * mu, (k + 1) * mu) for k in range(plan.v)]
+        want_a = []
+        for dummy, csize in zip(plan.dummy.tolist(), plan.csize.tolist()):
+            if dummy:
+                want_a.append(float(csize))
+                continue
+            want_a.append(0.0)
+            for k in range(1, csize):
+                want_a += [bc[k], bc[k], bc[0], bc[0], 0.0]
+        assert A_all.tolist() == want_a
+        want_c = [
+            2.0 * (table.range_cost(0, n * mu)
+                   + table.range_cost(b * mu, (b + n) * mu))
+            for b, n in zip(plan.swap_b.tolist(), plan.swap_len.tolist())
+        ]
+        assert C_all.tolist() == want_c and want_c
+
+    def test_threaded_runs_survive_evictions(self, monkeypatch):
+        """Service shards compute in concurrent handler threads that
+        share one cache.  With one slot, two label shapes and a lookup
+        that yields the GIL, another thread evicts between every lookup
+        and its LRU touch.  No run may fail, and every result equals its
+        serial twin."""
+        import threading
+        import time
+        from collections import OrderedDict
+
+        class YieldingCache(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                time.sleep(0.0005)
+                return value
+
+        monkeypatch.setattr(hmm_vec, "_PLAN_CACHE", YieldingCache())
+        monkeypatch.setattr(hmm_vec, "_PLAN_CACHE_MAX", 1)
+        progs = [build_program("sort", 32), build_program("fft-rec", 32)]
+        fs = [X06, X05]
+        serial = {
+            (i, j): HMMSimulator(f, kernel="vec", parallel=1).simulate(p)
+            for i, p in enumerate(progs) for j, f in enumerate(fs)
+        }
+        errors = []
+        mismatches = []
+
+        def worker(offset):
+            try:
+                for k in range(20):
+                    i, j = (k + offset) % 2, (k // 2 + offset) % 2
+                    res = HMMSimulator(
+                        fs[j], kernel="vec", parallel=1
+                    ).simulate(progs[i])
+                    ref = serial[(i, j)]
+                    if (res.time, res.counters, res.contexts) != (
+                        ref.time, ref.counters, ref.contexts
+                    ):
+                        mismatches.append((i, j))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert mismatches == []
+        assert plan_cache_info()["size"] == 1
+
+
+class TestArrayModeSelection:
+    """Which body mode each library program takes."""
+
+    @pytest.fixture
+    def scalar_calls(self, monkeypatch):
+        calls = []
+        real = hmm_vec._run_bodies_scalar
+
+        def spy(run, *args):
+            calls.append(run.program.name)
+            return real(run, *args)
+
+        monkeypatch.setattr(hmm_vec, "_run_bodies_scalar", spy)
+        return calls
+
+    @pytest.mark.parametrize("name,v", [
+        ("sort", 64), ("fft-rec", 64), ("matmul", 64), ("matmul", 256),
+    ])
+    def test_library_programs_take_array_mode(self, name, v, scalar_calls):
+        prog = build_program(name, v)
+        res, _ = _hits_after(prog, X07)
+        assert scalar_calls == []
+        assert_matches_hmm(res, prog, X07)
+
+    def test_custom_matmul_values_stay_per_processor(self, scalar_calls):
+        from repro.algorithms.matmul import matmul_program
+
+        prog = matmul_program(64, value_a=lambda r, c: r - c, value_b=None)
+        assert prog.array_schema is None
+        res, _ = _hits_after(prog, X07)
+        assert scalar_calls == [prog.name]
+        assert_matches_hmm(res, prog, X07)
+        default = HMMSimulator(X07, kernel="vec").simulate(
+            build_program("matmul", 64)
+        )
+        assert res.time == default.time  # same schedule, same charges
+        assert res.contexts != default.contexts
 
 
 # ------------------------------------------- phase attribution, guest time
@@ -550,6 +744,194 @@ class TestArrayViewContract:
     def test_interleave2(self):
         out = interleave2(np.array([1.0, 3.0]), np.array([2.0, 4.0]))
         assert out.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def _partial_send_program(v=16, mu=4, trailing=False):
+    """Masked, multiple sends in both body forms.
+
+    Step 1: odd pids send ``10 * pid`` to ``pid + 1`` (call 0), every
+    pid sends ``pid`` to ``pid ^ 2`` (call 1), and pids ``= 0 mod 4``
+    send ``-pid`` to ``pid ^ 2`` again (call 2, a second message from
+    one sender).  Step 2 sums the inbox into ``x``, in sender order, and
+    weights each message by its position so a wrong order shows.  With
+    ``trailing``, step 2 sends too and the program ends on a dummy."""
+    def send1(view):
+        pid = view.pid
+        if pid & 1:
+            view.send((pid + 1) % v, 10 * pid)
+        view.send(pid ^ 2, pid)
+        if pid % 4 == 0:
+            view.send(pid ^ 2, -pid)
+        view.charge(pid % 3)
+
+    def array_send1(view):
+        pids = view.pids
+        view.send((pids + 1) % v, 10 * pids, where=(pids & 1) == 1)
+        view.send(pids ^ 2, pids)
+        view.send(pids ^ 2, -pids, where=pids % 4 == 0)
+        view.charge(pids % 3)
+
+    def absorb(view):
+        view.ctx["x"] += sum(
+            (k + 1) * m.payload for k, m in enumerate(view.inbox)
+        )
+        if trailing:
+            view.send(view.pid ^ 1, view.ctx["x"])
+
+    def array_absorb(view):
+        # a pid's inbox, sorted by sender: call 0 comes from pid - 1,
+        # calls 1 and 2 from pid ^ 2 (call order breaks the tie)
+        pairs = [(src, payload, call)
+                 for call, (src, payload) in enumerate(view.inboxes)]
+        x = view.ctx["x"].copy()
+        for k in range(len(view.pids)):
+            got = sorted(
+                (int(src[k]), call, int(payload[k]))
+                for src, payload, call in pairs if src[k] >= 0
+            )
+            x[k] += sum((i + 1) * p for i, (_, _, p) in enumerate(got))
+        view.ctx["x"] = x
+        if trailing:
+            view.send(view.pids ^ 1, x)
+
+    steps = [
+        Superstep(0, send1, name="send", array_body=array_send1),
+        Superstep(0, absorb, name="absorb", array_body=array_absorb),
+    ]
+    if trailing:
+        steps.append(Superstep(0, None, name="tail"))
+    return Program(v, mu, steps, make_context=lambda pid: {"x": pid},
+                   name="partial", array_schema={"x": "i8"})
+
+
+def _scalar_twin(prog):
+    """The same program without its array bodies (per-processor mode)."""
+    return Program(
+        prog.v, prog.mu,
+        [Superstep(s.label, s.body, name=s.name) for s in prog.supersteps],
+        make_context=prog.make_context, name=prog.name,
+    )
+
+
+class TestPartialSends:
+    """The ``where=`` contract of :meth:`ArrayView.send`."""
+
+    @pytest.fixture
+    def streams(self, monkeypatch):
+        seen = []
+        real = hmm_vec._assemble_stream
+
+        def spy(plan, priced, local_flat, step_src, step_dest):
+            seen.append((list(step_src), list(step_dest)))
+            return real(plan, priced, local_flat, step_src, step_dest)
+
+        monkeypatch.setattr(hmm_vec, "_assemble_stream", spy)
+        return seen
+
+    @pytest.mark.parametrize("trailing", [False, True])
+    def test_outbox_order_matches_the_scalar_outbox(self, streams, trailing):
+        prog = _partial_send_program(trailing=trailing)
+        twin = _scalar_twin(prog)
+        vec = HMMSimulator(F, kernel="vec", trace="phases", parallel=1)
+        array_res = vec.simulate(prog)
+        scalar_res = vec.simulate(twin)
+        (a_src, a_dest), (s_src, s_dest) = streams
+        for a, b in zip(a_src + a_dest, s_src + s_dest):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.tolist() == b.tolist()
+        assert a_src[0] is not None and len(a_src[0]) == 16 + 8 + 4
+        ref = HMMSimulator(F, kernel="scalar", trace="phases").simulate(twin)
+        for res in (array_res, scalar_res):
+            assert_identical(ref, res)
+            # Message equality looks at the sender only: compare payloads
+            assert [[(m.src, m.payload) for m in box] for box in res.pending] \
+                == [[(m.src, m.payload) for m in box] for box in ref.pending]
+        assert any(ref.pending) == trailing
+        assert array_res.guest_time == direct_time(twin, F)
+
+    def _view(self, n=4, v=4, mu=2, label=0):
+        return ArrayView(np.arange(n), v, mu, label, {}, None, None)
+
+    def test_duplicate_destination_in_one_call_raises(self):
+        view = self._view()
+        with pytest.raises(ValueError, match="one destination twice"):
+            view.send(np.array([1, 1, 2, 3]), np.zeros(4))
+        # masked-out lanes do not count
+        view.send(np.array([1, 1, 2, 3]), np.zeros(4),
+                  where=np.array([True, False, True, True]))
+        # across calls one destination may receive several messages
+        view.send(np.array([1, 0, 3, 2]), np.zeros(4))
+
+    def test_cluster_boundary_checks_selected_lanes(self):
+        view = self._view(label=1)  # clusters {0,1} and {2,3}
+        dest = np.array([2, 0, 3, 2])
+        with pytest.raises(ValueError, match="cluster boundary"):
+            view.send(dest, np.zeros(4), where=np.array([1, 1, 0, 0], bool))
+        view.send(dest, np.zeros(4), where=np.array([0, 1, 1, 1], bool))
+
+    def test_mu_caps_each_processor(self):
+        view = self._view(mu=1)
+        dest = np.array([1, 0, 3, 2])
+        view.send(dest, np.zeros(4), where=np.array([1, 1, 0, 0], bool))
+        view.send(dest, np.zeros(4), where=np.array([0, 0, 1, 1], bool))
+        with pytest.raises(ValueError, match="mu=1"):
+            view.send(dest, np.zeros(4), where=np.array([0, 0, 0, 1], bool))
+
+    def test_mask_must_be_full_width(self):
+        view = self._view()
+        with pytest.raises(ValueError, match="full-width"):
+            view.send(np.arange(4), np.zeros(4), where=np.array([True]))
+
+    @pytest.mark.parametrize("name", ["sort", "fft-rec", "fft-dag"])
+    def test_single_send_inboxes_are_unchanged(self, name, monkeypatch):
+        """A step after one full-width send sees the aligned pair it saw
+        before ``inboxes`` existed, as ``inbox_src``/``inbox_payload``
+        and as the only ``inboxes`` entry."""
+        prog = build_program(name, 32)
+        log = []
+
+        def wrap(body):
+            def array_body(view):
+                log.append(("in", view.inbox_src, view.inbox_payload,
+                            list(view.inboxes)))
+                body(view)
+                log.append(("out", list(view._sends)))
+            return array_body
+
+        wrapped = prog.replace_supersteps([
+            Superstep(s.label, s.body, name=s.name,
+                      array_body=None if s.array_body is None
+                      else wrap(s.array_body))
+            for s in prog.supersteps
+        ])
+        res = HMMSimulator(F, kernel="vec", parallel=1).simulate(wrapped)
+        assert res.contexts == HMMSimulator(F, kernel="scalar").simulate(
+            prog
+        ).contexts
+        assert sum(1 for e in log if e[0] == "out" and e[1]) > 1
+        sends = None
+        for entry in log:
+            if entry[0] == "out":
+                sends = entry[1] or None
+                continue
+            _, in_src, in_payload, inboxes = entry
+            if sends is None:
+                assert in_src is None and in_payload is None
+                assert inboxes == []
+                continue
+            ((dest, payload, where),) = sends
+            assert where is None
+            want_src = np.full(32, -1, dtype=np.int64)
+            want_src[dest] = np.arange(32)
+            want_payload = np.zeros(32, dtype=payload.dtype)
+            want_payload[dest] = payload
+            assert in_src.dtype == want_src.dtype
+            assert in_payload.dtype == want_payload.dtype
+            assert (in_src == want_src).all()
+            assert (in_payload == want_payload).all()
+            assert len(inboxes) == 1
+            assert inboxes[0][0] is in_src and inboxes[0][1] is in_payload
 
 
 # ------------------------------------------------- access-function ufunc
